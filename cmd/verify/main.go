@@ -69,8 +69,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		store       = fs.String("store", "auto", "visited-state store: auto | dense | hash | bitstate (lossy)")
 		bits        = fs.Int("bits", verify.DefaultBitstateBits, "bitstate: log2 bit capacity of the Bloom array")
 		bitstateK   = fs.Int("bitstate-k", verify.DefaultBitstateK, "bitstate: hash functions per state")
-		spillMem    = fs.Int64("spill-mem", 0, "bitstate: frontier memory budget in bytes before spilling to disk (0 = never)")
-		spillDir    = fs.String("spill-dir", "", "bitstate: directory for spilled frontier chunks")
+		spillMem    = fs.Int64("spill-mem", 0, "frontier memory budget in bytes before spilling to disk (0 = never)")
+		spillDir    = fs.String("spill-dir", "", "directory for spilled frontier chunks")
 		checkpoint  = fs.String("checkpoint", "", "bitstate: write periodic atomic checkpoints to this directory")
 		ckInterval  = fs.Duration("checkpoint-interval", 30*time.Second, "gap between checkpoints")
 		resume      = fs.Bool("resume", false, "resume from the -checkpoint directory's manifest")

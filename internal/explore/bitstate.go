@@ -22,25 +22,29 @@ const (
 
 // Bitstate is a lossy Bloom-filter visited set in the style of Spin's
 // -bitstate mode: a power-of-two bit array where each packed state sets k
-// bits derived by double hashing. Intern answers fresh=false when all k
-// bits were already set, which can be a collision with previously visited
-// states — so a bitstate run can only ever under-explore, never invent
-// states. Verdicts produced over a Bitstate store must therefore be
-// reported as "no violation found", never as exact verification; concrete
-// violation witnesses remain exact because they are re-checked against the
-// transition relation, not the store.
+// bits. Intern answers fresh=false when all k bits were already set, which
+// can be a collision with previously visited states — so a bitstate run
+// can only ever under-explore, never invent states. Verdicts produced over
+// a Bitstate store must therefore be reported as "no violation found",
+// never as exact verification; concrete violation witnesses remain exact
+// because they are re-checked against the transition relation, not the
+// store.
+//
+// The filter is one-word blocked (Putze–Sanders–Singler, "Cache-, hash-
+// and space-efficient Bloom filters", 2007): all k bits of a key live in
+// one 64-bit word, so admission is a single compare-and-swap that either
+// sets the missing bits (the only fresh answer) or finds them all set.
+// That makes Intern linearizable — two workers interning the same key can
+// never both be told it is fresh — and costs one cache miss per key
+// instead of k. The price is a somewhat higher omission rate than k
+// independent bits at the same array size (README, "Spin-class
+// capacity").
 //
 // The store is lossy (Lossy() == true): interned states cannot be read
-// back, so Read, Rank and WordsAt panic and the engine carries packed keys
-// in the frontier instead of IDs.
-//
-// All operations are allocation-free and lock-free (atomic Or/Load on the
-// bit words), which is what makes bitstate interning faster than the exact
-// stores.
+// back, so Rank and WordsAt panic.
 type Bitstate struct {
 	words []atomic.Uint64 // the bit array, len = 1<<(log2bits-6)
-	mask  uint64          // bit-index mask, 1<<log2bits - 1
-	k     int             // hash functions per state
+	k     int             // hash functions (bits) per state
 	wpk   int             // words per key
 	log2  int             // log2 of the bit capacity
 
@@ -67,10 +71,8 @@ func NewBitstate(wordsPerKey, log2bits, k int) *Bitstate {
 	if k > 8 {
 		k = 8
 	}
-	nbits := uint64(1) << log2bits
 	return &Bitstate{
-		words: make([]atomic.Uint64, nbits>>6),
-		mask:  nbits - 1,
+		words: make([]atomic.Uint64, 1<<(log2bits-6)),
 		k:     k,
 		wpk:   wordsPerKey,
 		log2:  log2bits,
@@ -87,11 +89,10 @@ func (b *Bitstate) Lossy() bool { return true }
 func (b *Bitstate) K() int { return b.k }
 
 // Bits returns the bit capacity of the array.
-func (b *Bitstate) Bits() int64 { return int64(b.mask) + 1 }
+func (b *Bitstate) Bits() int64 { return int64(len(b.words)) << 6 }
 
-// remix is a finalizing mix used to derive the double-hashing stride from
-// the primary hash (Kirsch–Mitzenmacher: k hashes h1 + i·h2 preserve the
-// Bloom false-positive bound of k independent hashes).
+// remix is a finalizing mix that derives the in-word bit positions from
+// the primary hash, whose low bits pick the word.
 func remix(h uint64) uint64 {
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
@@ -101,62 +102,65 @@ func remix(h uint64) uint64 {
 	return h
 }
 
-// intern sets the k bits for key and reports whether any was newly set.
-// The set-bit is an explicit Load + CompareAndSwap loop rather than
+// intern sets key's k bits — all in the word its hash picks, at positions
+// taken from 6-bit fields of the remixed hash — and reports whether this
+// call set any of them, together with how many it set. Only the CAS that
+// changes the word answers fresh, so concurrent interns of one key admit
+// it once. The set is an explicit Load + CompareAndSwap loop rather than
 // atomic.Uint64.Or: the toolchain pinned in this repo (go1.24.0)
 // miscompiles the Or intrinsic when its result is consumed (the receiver
 // register is clobbered by the fallback CAS loop), and the Load fast path
 // is what the hot already-visited case executes anyway.
-func (b *Bitstate) intern(key []uint64) bool {
-	h1 := enc.Hash(key)
-	h2 := remix(h1) | 1 // odd stride visits every bit of the 2^m array
-	fresh := false
-	newBits := int64(0)
+func (b *Bitstate) intern(key []uint64) (fresh bool, newBits int) {
+	h := enc.Hash(key)
+	pos := remix(h)
+	var mask uint64
 	for i := 0; i < b.k; i++ {
-		pos := (h1 + uint64(i)*h2) & b.mask
-		bit := uint64(1) << (pos & 63)
-		w := &b.words[pos>>6]
-		for {
-			old := w.Load()
-			if old&bit != 0 {
-				break // already set (by us or a collision)
-			}
-			if w.CompareAndSwap(old, old|bit) {
-				fresh = true
-				newBits++
-				break
-			}
+		mask |= 1 << (pos >> (6 * i) & 63)
+	}
+	w := &b.words[h&uint64(len(b.words)-1)]
+	for {
+		old := w.Load()
+		if old&mask == mask {
+			return false, 0 // all set (by this key or a collision)
+		}
+		if w.CompareAndSwap(old, old|mask) {
+			return true, bits.OnesCount64(mask &^ old)
 		}
 	}
-	if newBits > 0 {
-		b.setBits.Add(newBits)
-	}
-	if fresh {
-		b.states.Add(1)
-	}
-	return fresh
 }
 
 // Intern records key in the visited set. The returned ID is always 0:
 // bitstate states have no identity, and the engine must not use IDs from a
 // lossy store. fresh=false may be a hash collision (see type comment).
 func (b *Bitstate) Intern(key []uint64) (int32, bool, error) {
-	return 0, b.intern(key), nil
+	fresh, newBits := b.intern(key)
+	if fresh {
+		b.states.Add(1)
+		b.setBits.Add(int64(newBits))
+	}
+	return 0, fresh, nil
 }
 
 // InternBatch interns len(ids) keys stored back to back in block. All IDs
-// are written as 0 (see Intern); fresh[i] reports per-key freshness.
+// are written as 0 (see Intern); fresh[i] reports per-key freshness. The
+// shared counters are bumped once per batch.
 func (b *Bitstate) InternBatch(block []uint64, ids []int32, fresh []bool) error {
+	var states, setBits int64
 	for i := range ids {
+		f, newBits := b.intern(block[i*b.wpk : (i+1)*b.wpk])
 		ids[i] = 0
-		fresh[i] = b.intern(block[i*b.wpk : (i+1)*b.wpk])
+		fresh[i] = f
+		if f {
+			states++
+			setBits += int64(newBits)
+		}
+	}
+	if states > 0 {
+		b.states.Add(states)
+		b.setBits.Add(setBits)
 	}
 	return nil
-}
-
-// Read is unavailable on a lossy store and panics.
-func (b *Bitstate) Read(int32, []uint64) []uint64 {
-	panic("explore: Read on bitstate store (lossy: states are not recoverable)")
 }
 
 // Len returns the number of admitted (fresh) states.

@@ -5,6 +5,8 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -75,7 +77,6 @@ func TestBitstateLossyAccessorsPanic(t *testing.T) {
 	b := NewBitstate(1, 10, 2)
 	b.Intern([]uint64{7})
 	for name, call := range map[string]func(){
-		"Read":    func() { b.Read(0, nil) },
 		"Rank":    func() { b.Rank(0) },
 		"WordsAt": func() { b.WordsAt(0, nil) },
 	} {
@@ -121,6 +122,62 @@ func TestBitstateNeverInventsStates(t *testing.T) {
 	}
 }
 
+// TestBitstateConcurrentAdmission has 8 goroutines intern one shared set
+// of 50k keys, each in its own order, and checks that admission is
+// linearizable: no key is answered fresh twice, so the store never admits
+// more states than there are distinct keys. The goroutines walk the keys
+// in the same sequence of 16-key blocks but shuffle each block their own
+// way, so they contend on the same keys at the same moments — which is
+// when a filter that answers fresh for "some bit was newly set" lets two
+// of them each set a different bit first and both admit the key.
+func TestBitstateConcurrentAdmission(t *testing.T) {
+	const (
+		goroutines = 8
+		distinct   = 50_000
+		block      = 16
+	)
+	b := NewBitstate(1, 24, 3)
+	keys := make([]uint64, distinct)
+	for i := range keys {
+		keys[i] = uint64(i) * 0x9e3779b97f4a7c15
+	}
+	rand.New(rand.NewPCG(5, 6)).Shuffle(distinct, func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	admitted := make([]atomic.Int32, distinct)
+	var start, done sync.WaitGroup
+	start.Add(1)
+	done.Add(goroutines)
+	for g := 0; g < goroutines; g++ {
+		order := make([]int, distinct)
+		for i := range order {
+			order[i] = i
+		}
+		rng := rand.New(rand.NewPCG(uint64(g), 7))
+		for lo := 0; lo < distinct; lo += block {
+			blk := order[lo:min(lo+block, distinct)]
+			rng.Shuffle(len(blk), func(i, j int) { blk[i], blk[j] = blk[j], blk[i] })
+		}
+		go func() {
+			defer done.Done()
+			start.Wait()
+			for _, i := range order {
+				if _, fresh, _ := b.Intern(keys[i : i+1]); fresh {
+					admitted[i].Add(1)
+				}
+			}
+		}()
+	}
+	start.Done()
+	done.Wait()
+	for i := range admitted {
+		if n := admitted[i].Load(); n > 1 {
+			t.Fatalf("key %#x admitted %d times", keys[i], n)
+		}
+	}
+	if b.Len() > distinct {
+		t.Fatalf("Len = %d from %d distinct keys", b.Len(), distinct)
+	}
+}
+
 func TestBitstateSnapshotRestore(t *testing.T) {
 	b := NewBitstate(1, 12, 3)
 	for i := uint64(0); i < 100; i++ {
@@ -163,7 +220,8 @@ func TestBitstateClamping(t *testing.T) {
 
 func TestKeyQueueSpillFIFO(t *testing.T) {
 	// A budget small enough to force several spills must preserve global
-	// FIFO order: head → chunks in write order → tail.
+	// FIFO order (head → chunks in write order → tail) and every entry's
+	// (id, depth, key).
 	dir := t.TempDir()
 	const wpk, n = 2, 500
 	// stride = 3 words; budget of 30 words spills the tail at ≥ 15 words
@@ -173,7 +231,8 @@ func TestKeyQueueSpillFIFO(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < n; i++ {
-		if err := q.push([]uint64{i, i * 3}, int32(i%7)); err != nil {
+		// IDs up to 2^30 exercise the high half of the entry head.
+		if err := q.push(int32(i)<<21, []uint64{i, i * 3}, int32(i%7)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -185,18 +244,19 @@ func TestKeyQueueSpillFIFO(t *testing.T) {
 		t.Fatalf("depth = %d, want %d", q.depth(), n)
 	}
 
-	keys := make([]uint64, keyPopBlock*wpk)
-	depths := make([]int32, keyPopBlock)
+	keys := make([]uint64, popBlockSize*wpk)
+	ids := make([]int32, popBlockSize)
+	depths := make([]int32, popBlockSize)
 	var next uint64
 	for next < n {
-		got := q.popBlock(keys, depths)
+		got := q.popBlock(keys, ids, depths)
 		if got == 0 {
 			t.Fatalf("popBlock drained at %d/%d", next, n)
 		}
 		for i := 0; i < got; i++ {
 			k := keys[i*wpk : (i+1)*wpk]
-			if k[0] != next || k[1] != next*3 || depths[i] != int32(next%7) {
-				t.Fatalf("entry %d popped as key=%v depth=%d", next, k, depths[i])
+			if k[0] != next || k[1] != next*3 || ids[i] != int32(next)<<21 || depths[i] != int32(next%7) {
+				t.Fatalf("entry %d popped as key=%v id=%d depth=%d", next, k, ids[i], depths[i])
 			}
 			next++
 		}
@@ -205,7 +265,7 @@ func TestKeyQueueSpillFIFO(t *testing.T) {
 	if _, _, loads := q.spillStats(); loads == 0 {
 		t.Fatal("draining never streamed a chunk back")
 	}
-	if got := q.popBlock(keys, depths); got != 0 {
+	if got := q.popBlock(keys, ids, depths); got != 0 {
 		t.Fatalf("popBlock after drain = %d, want 0", got)
 	}
 	q.cleanup()

@@ -140,13 +140,6 @@ type Config struct {
 	// Ctx cancels the run: workers check it once per batch and Run returns
 	// an ErrCanceled-wrapped error. nil means never canceled.
 	Ctx context.Context
-	// MaxBatch chunks the engine's intern/enqueue pass: at most MaxBatch
-	// successors are interned and queued per store round-trip. ≤ 0 means
-	// whole-batch (one round-trip per expanded state). Verdict-relevant
-	// results are identical for every setting; the knob exists to bound
-	// latency between discovery and enqueueing and to let tests sweep
-	// batch granularity.
-	MaxBatch int
 	// Progress, when non-nil, receives periodic snapshots (every
 	// ProgressInterval) from a sampler goroutine plus one final snapshot
 	// after the run completes. Callbacks may fire concurrently with
@@ -155,19 +148,18 @@ type Config struct {
 	Progress func(Progress)
 	// ProgressInterval is the sampling period (≤ 0 means 1s).
 	ProgressInterval time.Duration
-	// FrontierMemBytes caps the in-memory frontier in keys mode (lossy
-	// store): once the push-side buffer exceeds half the budget it is
-	// flushed to a sequential chunk file in SpillDir and streamed back in
-	// depth order when the pop side drains. ≤ 0 disables spilling. Ignored
-	// by exact stores, whose frontier holds 4-byte IDs and does not spill.
+	// FrontierMemBytes caps the in-memory frontier: once the push-side
+	// buffer exceeds half the budget it is flushed to a sequential chunk
+	// file in SpillDir and streamed back in depth order when the pop side
+	// drains. ≤ 0 disables spilling.
 	FrontierMemBytes int64
 	// SpillDir is where frontier chunks live. Required when
 	// FrontierMemBytes > 0; defaults to CheckpointDir when checkpointing.
 	SpillDir string
-	// CheckpointDir enables periodic checkpoints of a keys-mode run:
-	// visited bit array + pending frontier + counters, committed by an
-	// atomic manifest rename, so a killed run resumes (Resume) to the
-	// identical verdict. Requires a lossy (bitstate) store.
+	// CheckpointDir enables periodic checkpoints of the run: visited bit
+	// array + pending frontier + counters, committed by an atomic manifest
+	// rename, so a killed run resumes (Resume) to the identical verdict.
+	// Requires a lossy (bitstate) store.
 	CheckpointDir string
 	// CheckpointInterval is the time between checkpoints (≤ 0 means 30s).
 	CheckpointInterval time.Duration
@@ -187,13 +179,14 @@ type Config struct {
 	// Metrics, when non-nil, receives the engine's telemetry: per-depth
 	// discovery counts (explore/frontier_by_depth), the batch fill
 	// histogram (explore/batch_fill), sampled per-stage timers
-	// (explore/{expand,intern,absorb}_ns, explore/worker_idle_ns), and
-	// pull gauges for the live counters and the store's occupancy/probe
-	// statistics (store/*). Recording happens at batch granularity, so a
-	// nil registry — the default — costs one predictable branch per batch
-	// and the instrumented engine stays within noise of the uninstrumented
-	// one. Exploration results are bit-identical with and without a
-	// registry attached.
+	// (explore/{expand,intern,absorb}_ns, explore/worker_idle_ns), pull
+	// gauges for the live counters and the store's occupancy/probe
+	// statistics (store/*), and the frontier's memory and spill gauges
+	// when a spill or checkpoint directory is set. Recording happens at
+	// batch granularity, so a nil registry — the default — costs one
+	// predictable branch per batch and the instrumented engine stays
+	// within noise of the uninstrumented one. Exploration results are
+	// bit-identical with and without a registry attached.
 	Metrics *obs.Registry
 }
 
@@ -211,111 +204,54 @@ const (
 	MetricIdleNs          = "explore/worker_idle_ns"
 )
 
-// popBlockSize is the number of states one worker claims per queue lock
-// acquisition. Expansions of small states run well under a microsecond, so
-// claiming states one at a time made the queue mutex the scaling
-// bottleneck (clique/workers=4 was slower than workers=1 in ms-per-verdict
-// before block claiming); at 64 states per claim the lock traffic
-// amortizes away while the work-sharing granularity stays far below any
-// realistic frontier size.
-const popBlockSize = 64
-
 // clockSampleEvery is the stage-timer sampling interval: one in every 64
 // stage invocations is measured (obs.Clock), keeping timer overhead at two
 // time.Now calls per 64 states.
 const clockSampleEvery = 64
 
-// frontierStats is the read side shared by the exact-mode ID queue and
-// the keys-mode spillable queue (metrics and progress snapshots).
-type frontierStats interface {
-	depth() int
-	maxDepth() int
-	depthCountsCopy() []int64
-}
-
-// run is the engine's shared mutable state. Exactly one of queue (exact
-// mode: the frontier holds store IDs) and kq (keys mode: the store is
-// lossy, so the frontier carries the packed keys themselves and may spill
-// to disk) is non-nil.
+// run is the engine's shared mutable state.
 type run struct {
 	cfg      Config
-	queue    *workQueue // exact mode
-	kq       *keyQueue  // keys mode
-	front    frontierStats
+	q        *keyQueue
 	total    atomic.Int64 // distinct states interned
 	expanded atomic.Int64 // states fully expanded
 	start    time.Time
 	fill     *obs.Histogram // nil when no registry
 
-	// checkpoint telemetry (keys mode with CheckpointDir)
+	// checkpoint telemetry (runs with CheckpointDir)
 	checkpoints     atomic.Int64
 	checkpointBytes atomic.Int64
 }
 
 // Run drives a parallel BFS to its fixed point: seed states and every key
 // emitted during expansion are interned exactly once, and every fresh state
-// is expanded exactly once. With an exact store the visited set — and
-// therefore the verdict of any analysis over it — is independent of worker
-// count, scheduling, and batch granularity; with a lossy (bitstate) store
-// the admitted set can additionally depend on hash collisions, so it is a
-// sound under-approximation (never invents states) rather than exact.
+// is expanded exactly once. The frontier carries each state's packed key
+// (and its store ID), so workers expand states without reading them back
+// from the store, and the frontier can spill to disk under any store. With
+// an exact store the visited set — and therefore the verdict of any
+// analysis over it — is independent of worker count and scheduling; with a
+// lossy (bitstate) store the admitted set can additionally depend on hash
+// collisions, so it is a sound under-approximation (never invents states)
+// rather than exact.
 func Run(cfg Config) error {
-	if cfg.Store.Lossy() {
-		return runKeys(cfg)
-	}
-	if cfg.CheckpointDir != "" || cfg.Resume {
-		return fmt.Errorf("explore: checkpoint/resume requires a lossy (bitstate) store")
-	}
-	r := &run{cfg: cfg, queue: newWorkQueue(), start: time.Now()}
-	r.front = r.queue
-	r.registerMetrics()
-	if cfg.Progress != nil {
-		stop := make(chan struct{})
-		done := make(chan struct{})
-		go r.sampleProgress(stop, done)
-		defer func() {
-			close(stop)
-			<-done
-			cfg.Progress(r.snapshot()) // final totals
-		}()
-	}
-	if err := r.canceled(); err != nil {
-		return err
-	}
-	if err := cfg.Seed(r.emit); err != nil {
-		return err
-	}
-	workers := par.Workers(cfg.Workers)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go r.worker(w, &wg)
-	}
-	wg.Wait()
-	if m := cfg.Metrics; m != nil {
-		m.Series(MetricFrontierByDepth).SetFrom(r.queue.depthCountsCopy())
-	}
-	return r.queue.failure()
-}
-
-// runKeys is Run for lossy stores: the frontier carries packed keys
-// (states are not recoverable from the store), spills to disk past the
-// memory budget, and periodically checkpoints when configured.
-func runKeys(cfg Config) error {
 	dir := cfg.SpillDir
-	if cfg.CheckpointDir != "" {
+	if cfg.CheckpointDir != "" || cfg.Resume {
+		// An exact-store checkpoint would also have to persist the
+		// caller's per-state data (the verifier's edge log).
+		if !cfg.Store.Lossy() {
+			return fmt.Errorf("explore: checkpoint/resume requires a lossy (bitstate) store")
+		}
 		if dir != "" && dir != cfg.CheckpointDir {
 			return fmt.Errorf("explore: with checkpointing, spill dir must be the checkpoint dir (got %q and %q)", dir, cfg.CheckpointDir)
 		}
 		dir = cfg.CheckpointDir
 	}
-	kq, err := newKeyQueue(cfg.Store.Words(), cfg.FrontierMemBytes, dir)
+	q, err := newKeyQueue(cfg.Store.Words(), cfg.FrontierMemBytes, dir)
 	if err != nil {
 		return err
 	}
-	r := &run{cfg: cfg, kq: kq, start: time.Now()}
-	r.front = kq
-	defer kq.cleanup()
+	r := &run{cfg: cfg, q: q, start: time.Now()}
+	defer q.cleanup()
 	r.registerMetrics()
 	if cfg.Progress != nil {
 		stop := make(chan struct{})
@@ -334,7 +270,7 @@ func runKeys(cfg Config) error {
 		if err := r.restoreFromCheckpoint(); err != nil {
 			return err
 		}
-	} else if err := cfg.Seed(r.emitKey); err != nil {
+	} else if err := cfg.Seed(r.emit); err != nil {
 		return err
 	}
 	var ckStop, ckDone chan struct{}
@@ -347,7 +283,7 @@ func runKeys(cfg Config) error {
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go r.workerKeys(w, &wg)
+		go r.worker(w, &wg)
 	}
 	wg.Wait()
 	if ckStop != nil {
@@ -355,9 +291,9 @@ func runKeys(cfg Config) error {
 		<-ckDone
 	}
 	if m := cfg.Metrics; m != nil {
-		m.Series(MetricFrontierByDepth).SetFrom(kq.depthCountsCopy())
+		m.Series(MetricFrontierByDepth).SetFrom(q.depthCountsCopy())
 	}
-	return kq.failure()
+	return q.failure()
 }
 
 // checkpointLoop writes a checkpoint every CheckpointInterval until the
@@ -389,7 +325,7 @@ func (r *run) checkpointLoop(stop, done chan struct{}) {
 			n, err := r.writeCheckpoint()
 			clk.Stop()
 			if err != nil {
-				r.kq.fail(fmt.Errorf("explore: checkpoint: %w", err))
+				r.q.fail(fmt.Errorf("explore: checkpoint: %w", err))
 				return
 			}
 			r.checkpoints.Add(1)
@@ -406,21 +342,22 @@ func (r *run) registerMetrics() {
 	if m == nil {
 		return
 	}
+	q := r.q
 	m.Func(MetricStates, r.total.Load)
 	m.Func(MetricExpanded, r.expanded.Load)
-	m.Func(MetricFrontier, func() int64 { return int64(r.front.depth()) })
-	m.Func(MetricDepth, func() int64 { return int64(r.front.maxDepth()) })
+	m.Func(MetricFrontier, func() int64 { return int64(q.depth()) })
+	m.Func(MetricDepth, func() int64 { return int64(q.maxDepth()) })
 	r.fill = m.Histogram(MetricBatchFill, 0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 	registerStoreMetrics(m, r.cfg.Store)
-	if kq := r.kq; kq != nil {
-		m.Func(MetricFrontierMemBytes, kq.memBytes)
-		m.Func(MetricSpillChunks, func() int64 { c, _, _ := kq.spillStats(); return c })
-		m.Func(MetricSpillBytes, func() int64 { _, b, _ := kq.spillStats(); return b })
-		m.Func(MetricSpillLoads, func() int64 { _, _, l := kq.spillStats(); return l })
-		if r.cfg.CheckpointDir != "" {
-			m.Func(MetricCheckpoints, r.checkpoints.Load)
-			m.Func(MetricCheckpointBytes, r.checkpointBytes.Load)
-		}
+	if q.dir != "" {
+		m.Func(MetricFrontierMemBytes, q.memBytes)
+		m.Func(MetricSpillChunks, func() int64 { c, _, _ := q.spillStats(); return c })
+		m.Func(MetricSpillBytes, func() int64 { _, b, _ := q.spillStats(); return b })
+		m.Func(MetricSpillLoads, func() int64 { _, _, l := q.spillStats(); return l })
+	}
+	if r.cfg.CheckpointDir != "" {
+		m.Func(MetricCheckpoints, r.checkpoints.Load)
+		m.Func(MetricCheckpointBytes, r.checkpointBytes.Load)
 	}
 }
 
@@ -446,41 +383,27 @@ func (r *run) emit(key []uint64) (int32, bool, error) {
 		if total := int(r.total.Add(1)); r.cfg.Limit > 0 && total > r.cfg.Limit {
 			return 0, false, fmt.Errorf("%w: > %d states", ErrLimit, r.cfg.Limit)
 		}
-		r.queue.push(id, 0)
-	}
-	return id, fresh, nil
-}
-
-// emitKey is the keys-mode seeding path: fresh keys enter the frontier as
-// packed keys at depth 0 (IDs from a lossy store carry no identity).
-func (r *run) emitKey(key []uint64) (int32, bool, error) {
-	id, fresh, err := r.cfg.Store.Intern(key)
-	if err != nil {
-		return 0, false, err
-	}
-	if fresh {
-		if total := int(r.total.Add(1)); r.cfg.Limit > 0 && total > r.cfg.Limit {
-			return 0, false, fmt.Errorf("%w: > %d states", ErrLimit, r.cfg.Limit)
-		}
-		if err := r.kq.push(key, 0); err != nil {
+		if err := r.q.push(id, key, 0); err != nil {
 			return 0, false, err
 		}
 	}
 	return id, fresh, nil
 }
 
-// worker is one expansion loop: claim a block of states under one queue
-// lock acquisition, then for each state expand it into the batch, intern
-// the batch, and hand the results back to the expander. Termination
-// accounting is settled once per block (doneN), not once per state.
+// worker is one expansion loop: claim a block of frontier entries under
+// one queue lock acquisition, then for each state expand its key into the
+// batch, intern the batch, and hand the results back to the expander.
+// Termination accounting is settled once per block (doneN), not once per
+// state.
 func (r *run) worker(w int, wg *sync.WaitGroup) {
 	defer wg.Done()
 	ex := r.cfg.NewExpander(w)
-	batch := NewBatch(r.cfg.Store.Words())
+	q := r.q
+	wpk := q.wpk
+	batch := NewBatch(wpk)
+	keys := make([]uint64, popBlockSize*wpk)
 	var (
-		words                           []uint64
-		ids                             [popBlockSize]int32
-		depths                          [popBlockSize]int32
+		ids, depths                     [popBlockSize]int32
 		clkExpand, clkIntern, clkAbsorb *obs.Clock
 		clkIdle                         *obs.Clock
 	)
@@ -498,22 +421,21 @@ func (r *run) worker(w int, wg *sync.WaitGroup) {
 	}
 	for {
 		clkIdle.Start()
-		n := r.queue.popBlock(ids[:], depths[:])
+		n := q.popBlock(keys, ids[:], depths[:])
 		clkIdle.Stop()
 		if n == 0 {
 			return
 		}
 		if err := r.canceled(); err != nil {
 			r.expanded.Add(int64(n))
-			r.queue.doneN(n)
-			r.queue.fail(err)
+			q.doneN(n)
+			q.fail(err)
 			return
 		}
 		for i := 0; i < n; i++ {
-			words = r.cfg.Store.Read(ids[i], words)
 			batch.Reset()
 			clkExpand.Start()
-			err := ex.Expand(ids[i], words, batch)
+			err := ex.Expand(ids[i], keys[i*wpk:(i+1)*wpk], batch)
 			clkExpand.Stop()
 			r.fill.Observe(int64(batch.Len()))
 			if err == nil {
@@ -528,124 +450,17 @@ func (r *run) worker(w int, wg *sync.WaitGroup) {
 			}
 			if err != nil {
 				r.expanded.Add(int64(n))
-				r.queue.doneN(n)
-				r.queue.fail(err)
+				q.doneN(n)
+				q.fail(err)
 				return
 			}
 		}
 		r.expanded.Add(int64(n))
-		r.queue.doneN(n)
+		q.doneN(n)
 	}
 }
 
-// workerKeys is the keys-mode expansion loop: claim a block of (depth,
-// key) entries, expand each key, intern the successors into the lossy
-// store, and enqueue the fresh successors' keys. Expanders see id 0 for
-// every state — lossy stores have no usable IDs.
-func (r *run) workerKeys(w int, wg *sync.WaitGroup) {
-	defer wg.Done()
-	ex := r.cfg.NewExpander(w)
-	wpk := r.cfg.Store.Words()
-	batch := NewBatch(wpk)
-	keys := make([]uint64, keyPopBlock*wpk)
-	var (
-		depths                          [keyPopBlock]int32
-		clkExpand, clkIntern, clkAbsorb *obs.Clock
-		clkIdle                         *obs.Clock
-	)
-	if m := r.cfg.Metrics; m != nil {
-		clkExpand = obs.NewClock(m.Timer(MetricExpandNs), clockSampleEvery)
-		clkIntern = obs.NewClock(m.Timer(MetricInternNs), clockSampleEvery)
-		clkAbsorb = obs.NewClock(m.Timer(MetricAbsorbNs), clockSampleEvery)
-		clkIdle = obs.NewClock(m.Timer(MetricIdleNs), 1)
-		defer func() {
-			clkExpand.Flush()
-			clkIntern.Flush()
-			clkAbsorb.Flush()
-			clkIdle.Flush()
-		}()
-	}
-	for {
-		clkIdle.Start()
-		n := r.kq.popBlock(keys, depths[:])
-		clkIdle.Stop()
-		if n == 0 {
-			return
-		}
-		if err := r.canceled(); err != nil {
-			r.expanded.Add(int64(n))
-			r.kq.doneN(n)
-			r.kq.fail(err)
-			return
-		}
-		for i := 0; i < n; i++ {
-			key := keys[i*wpk : (i+1)*wpk]
-			batch.Reset()
-			clkExpand.Start()
-			err := ex.Expand(0, key, batch)
-			clkExpand.Stop()
-			r.fill.Observe(int64(batch.Len()))
-			if err == nil {
-				clkIntern.Start()
-				err = r.internBatchKeys(batch, depths[i]+1)
-				clkIntern.Stop()
-			}
-			if err == nil {
-				clkAbsorb.Start()
-				err = ex.Absorb(0, batch)
-				clkAbsorb.Stop()
-			}
-			if err != nil {
-				r.expanded.Add(int64(n))
-				r.kq.doneN(n)
-				r.kq.fail(err)
-				return
-			}
-		}
-		r.expanded.Add(int64(n))
-		r.kq.doneN(n)
-	}
-}
-
-// internBatchKeys is internBatch for keys mode: fresh successors are
-// enqueued by key rather than by ID.
-func (r *run) internBatchKeys(b *Batch, d int32) error {
-	count := b.Len()
-	if cap(b.IDs) < count {
-		b.IDs = make([]int32, count)
-		b.Fresh = make([]bool, count)
-	}
-	b.IDs = b.IDs[:count]
-	b.Fresh = b.Fresh[:count]
-	step := r.cfg.MaxBatch
-	if step <= 0 {
-		step = count
-	}
-	for from := 0; from < count; from += step {
-		to := min(from+step, count)
-		if err := r.cfg.Store.InternBatch(b.keys[from*b.wpk:to*b.wpk], b.IDs[from:to], b.Fresh[from:to]); err != nil {
-			return err
-		}
-		freshCount := 0
-		for i := from; i < to; i++ {
-			if b.Fresh[i] {
-				freshCount++
-			}
-		}
-		if freshCount == 0 {
-			continue
-		}
-		if total := int(r.total.Add(int64(freshCount))); r.cfg.Limit > 0 && total > r.cfg.Limit {
-			return fmt.Errorf("%w: > %d states", ErrLimit, r.cfg.Limit)
-		}
-		if err := r.kq.pushFresh(b.keys[from*b.wpk:to*b.wpk], b.Fresh[from:to], d, freshCount); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// internBatch interns the batch's keys (in MaxBatch-sized chunks), filling
+// internBatch interns the batch's keys in one store round-trip, filling
 // IDs/Fresh, charging fresh states against the limit, and enqueueing them
 // at discovery depth d.
 func (r *run) internBatch(b *Batch, d int32) error {
@@ -656,30 +471,22 @@ func (r *run) internBatch(b *Batch, d int32) error {
 	}
 	b.IDs = b.IDs[:count]
 	b.Fresh = b.Fresh[:count]
-	step := r.cfg.MaxBatch
-	if step <= 0 {
-		step = count
+	if err := r.cfg.Store.InternBatch(b.Block(), b.IDs, b.Fresh); err != nil {
+		return err
 	}
-	for from := 0; from < count; from += step {
-		to := min(from+step, count)
-		if err := r.cfg.Store.InternBatch(b.keys[from*b.wpk:to*b.wpk], b.IDs[from:to], b.Fresh[from:to]); err != nil {
-			return err
+	freshCount := 0
+	for _, f := range b.Fresh {
+		if f {
+			freshCount++
 		}
-		freshCount := 0
-		for i := from; i < to; i++ {
-			if b.Fresh[i] {
-				freshCount++
-			}
-		}
-		if freshCount == 0 {
-			continue
-		}
-		if total := int(r.total.Add(int64(freshCount))); r.cfg.Limit > 0 && total > r.cfg.Limit {
-			return fmt.Errorf("%w: > %d states", ErrLimit, r.cfg.Limit)
-		}
-		r.queue.pushFresh(b.IDs[from:to], b.Fresh[from:to], d, freshCount)
 	}
-	return nil
+	if freshCount == 0 {
+		return nil
+	}
+	if total := int(r.total.Add(int64(freshCount))); r.cfg.Limit > 0 && total > r.cfg.Limit {
+		return fmt.Errorf("%w: > %d states", ErrLimit, r.cfg.Limit)
+	}
+	return r.q.pushFresh(b.Block(), b.IDs, b.Fresh, d, freshCount)
 }
 
 // snapshot reads the progress counters.
@@ -687,15 +494,15 @@ func (r *run) snapshot() Progress {
 	p := Progress{
 		States:   r.total.Load(),
 		Expanded: r.expanded.Load(),
-		Frontier: r.front.depth(),
-		Depth:    r.front.maxDepth(),
+		Frontier: r.q.depth(),
+		Depth:    r.q.maxDepth(),
 		Elapsed:  time.Since(r.start),
 	}
 	if s := p.Elapsed.Seconds(); s > 0 {
 		p.StatesPerSec = float64(p.States) / s
 	}
 	if m := r.cfg.Metrics; m != nil {
-		m.Series(MetricFrontierByDepth).SetFrom(r.front.depthCountsCopy())
+		m.Series(MetricFrontierByDepth).SetFrom(r.q.depthCountsCopy())
 		p.Metrics = m.Snapshot()
 	}
 	return p
@@ -718,131 +525,4 @@ func (r *run) sampleProgress(stop, done chan struct{}) {
 			r.cfg.Progress(r.snapshot())
 		}
 	}
-}
-
-// workQueue is an unbounded multi-producer multi-consumer queue of state
-// IDs (tagged with their discovery depth) with distributed-termination
-// accounting: pending counts states discovered but not yet fully expanded;
-// when it hits zero the exploration is complete and all poppers drain out.
-// Consumers claim states in blocks (popBlock) so queue lock traffic is
-// amortized over popBlockSize expansions. It also owns the per-depth
-// discovery counts, updated under the same lock the enqueue already takes.
-type workQueue struct {
-	mu          sync.Mutex
-	cond        *sync.Cond
-	items       []int32
-	depths      []int32
-	depthCounts []int64
-	pending     int
-	err         error
-}
-
-func newWorkQueue() *workQueue {
-	q := &workQueue{}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
-// countAtDepth charges n discoveries to depth d. Caller holds q.mu.
-func (q *workQueue) countAtDepth(d int32, n int64) {
-	for len(q.depthCounts) <= int(d) {
-		q.depthCounts = append(q.depthCounts, 0)
-	}
-	q.depthCounts[d] += n
-}
-
-func (q *workQueue) push(id int32, depth int32) {
-	q.mu.Lock()
-	q.items = append(q.items, id)
-	q.depths = append(q.depths, depth)
-	q.countAtDepth(depth, 1)
-	q.pending++
-	q.cond.Signal()
-	q.mu.Unlock()
-}
-
-// pushFresh enqueues ids[i] for every fresh[i] at depth d under one lock
-// acquisition — the batch counterpart of push.
-func (q *workQueue) pushFresh(ids []int32, fresh []bool, d int32, freshCount int) {
-	q.mu.Lock()
-	for i, id := range ids {
-		if fresh[i] {
-			q.items = append(q.items, id)
-			q.depths = append(q.depths, d)
-			q.pending++
-		}
-	}
-	q.countAtDepth(d, int64(freshCount))
-	q.cond.Broadcast()
-	q.mu.Unlock()
-}
-
-// popBlock claims up to len(ids) states into ids/depths, blocking until
-// work arrives, the exploration completes, or a worker fails. Returns the
-// number claimed (0 means drain out). Claimed states stay counted in
-// pending until the worker settles them with doneN, so termination
-// accounting is unaffected by the local buffering.
-func (q *workQueue) popBlock(ids, depths []int32) int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.items) == 0 && q.pending > 0 && q.err == nil {
-		q.cond.Wait()
-	}
-	if q.err != nil || len(q.items) == 0 {
-		return 0
-	}
-	n := min(len(ids), len(q.items))
-	from := len(q.items) - n
-	copy(ids, q.items[from:])
-	copy(depths, q.depths[from:])
-	q.items = q.items[:from]
-	q.depths = q.depths[:from]
-	return n
-}
-
-// depth returns the number of queued (not yet claimed) states.
-func (q *workQueue) depth() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.items)
-}
-
-// maxDepth returns the deepest discovery depth charged so far.
-func (q *workQueue) maxDepth() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return max(0, len(q.depthCounts)-1)
-}
-
-// depthCountsCopy returns a copy of the per-depth discovery counts.
-func (q *workQueue) depthCountsCopy() []int64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return append([]int64(nil), q.depthCounts...)
-}
-
-// doneN settles n claimed states' termination accounting in one lock
-// acquisition.
-func (q *workQueue) doneN(n int) {
-	q.mu.Lock()
-	q.pending -= n
-	if q.pending == 0 {
-		q.cond.Broadcast()
-	}
-	q.mu.Unlock()
-}
-
-func (q *workQueue) fail(err error) {
-	q.mu.Lock()
-	if q.err == nil {
-		q.err = err
-	}
-	q.cond.Broadcast()
-	q.mu.Unlock()
-}
-
-func (q *workQueue) failure() error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.err
 }

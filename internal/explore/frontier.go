@@ -8,7 +8,8 @@ import (
 	"sync"
 )
 
-// Frontier/spill metric names (registered in keys mode; see Config.Metrics).
+// Frontier/spill metric names (registered when the run has a spill or
+// checkpoint directory; see Config.Metrics).
 const (
 	// MetricFrontierMemBytes is the frontier's current in-memory footprint.
 	MetricFrontierMemBytes = "explore/frontier_mem_bytes"
@@ -20,9 +21,14 @@ const (
 	MetricSpillLoads = "explore/spill_loads"
 )
 
-// keyPopBlock is the number of frontier entries one worker claims per
-// queue lock acquisition in keys mode (the analogue of popBlockSize).
-const keyPopBlock = 64
+// popBlockSize is the number of frontier entries one worker claims per
+// queue lock acquisition. Expansions of small states run well under a
+// microsecond, so claiming states one at a time made the queue mutex the
+// scaling bottleneck (clique/workers=4 was slower than workers=1 in
+// ms-per-verdict before block claiming); at 64 states per claim the lock
+// traffic amortizes away while the work-sharing granularity stays far
+// below any realistic frontier size.
+const popBlockSize = 64
 
 // spillChunk is one on-disk frontier chunk: entries·stride uint64 words,
 // little-endian, oldest entries first.
@@ -31,10 +37,20 @@ type spillChunk struct {
 	entries int64
 }
 
-// keyQueue is the keys-mode frontier: a multi-producer multi-consumer
-// FIFO of (depth, packed key) entries with the same distributed-termination
-// accounting as workQueue, plus two capabilities the exact-mode queue does
-// not need:
+// entryHead packs a frontier entry's first word: the discovery depth in
+// the low 32 bits and the store ID in the high 32 bits. Bitstate IDs are
+// always 0, so a bitstate entry's head is its depth.
+func entryHead(id, depth int32) uint64 {
+	return uint64(uint32(depth)) | uint64(uint32(id))<<32
+}
+
+// keyQueue is the engine's frontier: a multi-producer multi-consumer FIFO
+// of (depth, ID, packed key) entries with distributed-termination
+// accounting — pending counts states discovered but not yet fully
+// expanded; when it hits zero the exploration is complete and all poppers
+// drain out. Workers expand the key carried in the entry, so no store ever
+// has to give a state back by ID; the ID rides along for Absorb (the
+// verifier's edge log). Beyond that the queue provides:
 //
 //   - Disk spilling. Entries live in two in-memory buffers — workers pop
 //     from the front of head and push to the back of tail. When tail
@@ -49,11 +65,12 @@ type spillChunk struct {
 //     set and the frontier are captured at a consistent cut (no state is
 //     mid-expansion with successors interned but not yet enqueued).
 //
-// Entries are stride = wordsPerKey+1 words: the discovery depth followed by
-// the packed key. Chunk I/O runs under the queue lock — a flush or load
+// Entries are stride = wordsPerKey+1 words: the entryHead followed by the
+// packed key. Chunk I/O runs under the queue lock — a flush or load
 // briefly blocks other workers, which is acceptable because chunks are
 // budget/2-sized (milliseconds of sequential I/O amortized over millions of
-// pushes).
+// pushes). The queue also owns the per-depth discovery counts, updated
+// under the lock the enqueue already takes.
 type keyQueue struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -80,7 +97,7 @@ type keyQueue struct {
 	spillChunks, spillBytes, spillLoads int64
 }
 
-// newKeyQueue builds the keys-mode frontier. dir may be empty when neither
+// newKeyQueue builds the frontier. dir may be empty when neither
 // spilling nor checkpointing is enabled; memBytes ≤ 0 disables spilling.
 func newKeyQueue(wpk int, memBytes int64, dir string) (*keyQueue, error) {
 	q := &keyQueue{
@@ -115,14 +132,14 @@ func (q *keyQueue) countAtDepth(d int32, n int64) {
 	q.depthCounts[d] += n
 }
 
-// push enqueues one key at the given depth (the seeding path).
-func (q *keyQueue) push(key []uint64, depth int32) error {
+// push enqueues one state at the given depth (the seeding path).
+func (q *keyQueue) push(id int32, key []uint64, depth int32) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.err != nil {
 		return q.err
 	}
-	q.tail = append(q.tail, uint64(depth))
+	q.tail = append(q.tail, entryHead(id, depth))
 	q.tail = append(q.tail, key...)
 	q.countAtDepth(depth, 1)
 	q.pending++
@@ -132,9 +149,9 @@ func (q *keyQueue) push(key []uint64, depth int32) error {
 	return err
 }
 
-// pushFresh enqueues block's i-th key for every fresh[i] at depth d under
-// one lock acquisition — the batch counterpart of push.
-func (q *keyQueue) pushFresh(block []uint64, fresh []bool, d int32, freshCount int) error {
+// pushFresh enqueues (ids[i], block's i-th key) for every fresh[i] at
+// depth d under one lock acquisition — the batch counterpart of push.
+func (q *keyQueue) pushFresh(block []uint64, ids []int32, fresh []bool, d int32, freshCount int) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.err != nil {
@@ -142,7 +159,7 @@ func (q *keyQueue) pushFresh(block []uint64, fresh []bool, d int32, freshCount i
 	}
 	for i := range fresh {
 		if fresh[i] {
-			q.tail = append(q.tail, uint64(d))
+			q.tail = append(q.tail, entryHead(ids[i], d))
 			q.tail = append(q.tail, block[i*q.wpk:(i+1)*q.wpk]...)
 		}
 	}
@@ -212,11 +229,11 @@ func (q *keyQueue) loadChunkLocked() error {
 }
 
 // popBlock claims up to len(depths) entries, copying keys back to back
-// into keys (len(depths)·wpk words) and depths[i] for each. Blocks until
-// work arrives, the exploration completes, or a worker fails; returns the
-// number claimed (0 means drain out). Claimed entries stay counted in
-// pending until settled with doneN.
-func (q *keyQueue) popBlock(keys []uint64, depths []int32) int {
+// into keys (len(depths)·wpk words) and ids[i], depths[i] for each. Blocks
+// until work arrives, the exploration completes, or a worker fails;
+// returns the number claimed (0 means drain out). Claimed entries stay
+// counted in pending until settled with doneN.
+func (q *keyQueue) popBlock(keys []uint64, ids, depths []int32) int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for {
@@ -250,7 +267,8 @@ func (q *keyQueue) popBlock(keys []uint64, depths []int32) int {
 	n := min(len(depths), avail)
 	for i := 0; i < n; i++ {
 		e := q.head[q.headOff : q.headOff+q.stride]
-		depths[i] = int32(e[0])
+		depths[i] = int32(uint32(e[0]))
+		ids[i] = int32(e[0] >> 32)
 		copy(keys[i*q.wpk:(i+1)*q.wpk], e[1:])
 		q.headOff += q.stride
 	}

@@ -2,9 +2,13 @@ package verify_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -145,6 +149,52 @@ func TestBitstateOracleSweep(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestBitstateOmissionSweep records what the lossy store gives up across
+// array sizes: on SaturatingRing(10,3), r=2, quotiented (217,563 exact
+// states), every BitstateBits × workers row must admit no more states
+// than the exact store saw — admission is linearizable, so the only error
+// a bitstate run can make is to omit — and the omission (admitted − exact)
+// is logged next to Spin's hash factor. README's "Spin-class capacity"
+// section tabulates these rows.
+func TestBitstateOmissionSweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("ten 217k-state runs")
+	}
+	const n = 10
+	p := ringProto(t, "saturating", n, 3)
+	x := make(core.Input, n)
+	exact, err := verify.LabelRStabilizingOpts(p, x, 2, verify.Options{
+		Limit: 1 << 24, Store: verify.StoreHash, Symmetry: verify.SymmetryOn,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, logBits := range []int{20, 22, 24, 26, 27} {
+		for _, workers := range []int{1, 2} {
+			dec, err := verify.LabelRStabilizingOpts(p, x, 2, verify.Options{
+				Limit:        1 << 24,
+				Workers:      workers,
+				Store:        verify.StoreBitstate,
+				BitstateBits: logBits,
+				Symmetry:     verify.SymmetryOn,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !dec.Stabilizing || dec.Exact {
+				t.Fatalf("bits=%d workers=%d: Stabilizing=%v Exact=%v, want a clean lossy sweep",
+					logBits, workers, dec.Stabilizing, dec.Exact)
+			}
+			if dec.States > exact.States {
+				t.Fatalf("bits=%d workers=%d: admitted %d states, more than the %d reachable",
+					logBits, workers, dec.States, exact.States)
+			}
+			t.Logf("bits=2^%d workers=%d: admitted−exact = %d, hash factor %.1f",
+				logBits, workers, dec.States-exact.States, dec.HashFactor)
 		}
 	}
 }
@@ -292,7 +342,8 @@ func TestBitstateResumeGuards(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := explore.LoadManifest(dir); err != nil {
+	m, err := explore.LoadManifest(dir)
+	if err != nil {
 		t.Skipf("no checkpoint landed during the run: %v", err)
 	}
 	if _, err := verify.LabelRStabilizingOpts(p8, x8, 3, verify.Options{
@@ -300,6 +351,27 @@ func TestBitstateResumeGuards(t *testing.T) {
 		Symmetry: verify.SymmetryOn, CheckpointDir: dir, Resume: true,
 	}); err == nil {
 		t.Fatal("resume with a mismatched configuration must fail")
+	}
+
+	// A checkpoint whose bits were written in the v1 layout (k independent
+	// bits per state) must be refused, not read as blocked-filter words.
+	if !strings.Contains(m.Tag, "|v2|") {
+		t.Fatalf("checkpoint tag %q does not name the v2 bit layout", m.Tag)
+	}
+	m.Tag = strings.Replace(m.Tag, "|v2|", "|v1|", 1)
+	raw, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = verify.LabelRStabilizingOpts(p8, x8, 2, verify.Options{
+		Limit: 1 << 22, Workers: 1, Store: verify.StoreBitstate, BitstateBits: 20,
+		Symmetry: verify.SymmetryOn, CheckpointDir: dir, Resume: true,
+	})
+	if err == nil || !strings.Contains(err.Error(), "does not match run tag") {
+		t.Fatalf("resume from a v1-layout checkpoint: err = %v, want a tag mismatch", err)
 	}
 }
 

@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"stateless/internal/core"
+	"stateless/internal/explore"
 	"stateless/internal/graph"
+	"stateless/internal/obs"
 	"stateless/internal/verify"
 )
 
@@ -37,52 +39,42 @@ func uniformRingProtocol(t *testing.T, m int, sigma uint64, seed uint64) *core.P
 
 // TestOracleStoreSymmetryWorkers is the cross-check oracle of the unified
 // engine: on small unidirectional rings (|Σ| ∈ {2,3}, m ∈ 3..6, where the
-// rotation group has order m), every (store, symmetry, workers, batch)
+// rotation group has order m), every (store, symmetry, workers)
 // combination must return the same verdict; state counts must agree across
-// stores, worker counts, and batch granularities for a fixed symmetry
-// setting; the quotient count must sit in [states/|Γ|, states]; and
-// witnesses must be identical across all non-symmetry dimensions and
-// genuinely violating in all settings. Batch granularity (Options.Batch)
-// only chunks the engine's intern/enqueue pass, so the full {1,2,7,64}
-// sweep runs on the cheap small rings while the large rings (which dominate
-// the runtime) keep a whole-batch/chunked pair.
+// stores and worker counts for a fixed symmetry setting; the quotient
+// count must sit in [states/|Γ|, states]; and witnesses must be identical
+// across all non-symmetry dimensions and genuinely violating in all
+// settings. The hash store also runs with a 4 KiB frontier budget, so its
+// frontier spills to disk and streams back: spilling must not change any
+// result either.
 func TestOracleStoreSymmetryWorkers(t *testing.T) {
 	type cfg struct {
 		store verify.StoreKind
 		sym   verify.SymmetryMode
 		work  int
-		batch int
+		spill bool
 	}
-	cfgsFor := func(batches []int) []cfg {
-		var cfgs []cfg
-		for _, st := range []verify.StoreKind{verify.StoreDense, verify.StoreHash} {
-			for _, sy := range []verify.SymmetryMode{verify.SymmetryOff, verify.SymmetryOn} {
-				for _, w := range []int{1, 4} {
-					for _, b := range batches {
-						cfgs = append(cfgs, cfg{st, sy, w, b})
-					}
-				}
-			}
+	var cfgs []cfg
+	for _, sy := range []verify.SymmetryMode{verify.SymmetryOff, verify.SymmetryOn} {
+		for _, w := range []int{1, 4} {
+			cfgs = append(cfgs,
+				cfg{verify.StoreDense, sy, w, false},
+				cfg{verify.StoreHash, sy, w, false},
+				cfg{verify.StoreHash, sy, w, true})
 		}
-		return cfgs
 	}
+	var spillLoads int64
 	for _, sigma := range []uint64{2, 3} {
 		for m := 3; m <= 6; m++ {
-			batches := []int{0, 1, 2, 7, 64}
 			seeds := uint64(4)
-			if m >= 5 {
+			if m >= 5 && sigma == 3 {
 				// The largest rings dominate the runtime (≈3^{2m} states);
-				// fewer seeds and a trimmed batch sweep keep the matrix
-				// covered under -race.
-				batches = []int{0, 7}
-				if sigma == 3 {
-					seeds = 2
-				}
+				// fewer seeds keep the matrix covered under -race.
+				seeds = 2
 			}
 			if testing.Short() && m >= 5 {
 				continue
 			}
-			cfgs := cfgsFor(batches)
 			for seed := uint64(0); seed < seeds; seed++ {
 				p := uniformRingProtocol(t, m, sigma, seed+uint64(m)*17+uint64(sigma)*131)
 				x := make(core.Input, m)
@@ -93,12 +85,20 @@ func TestOracleStoreSymmetryWorkers(t *testing.T) {
 					}
 					decs := make([]verify.Decision, len(cfgs))
 					for i, c := range cfgs {
-						dec, err := decide(p, x, 2, verify.Options{
+						opts := verify.Options{
 							Limit: 1 << 22, Workers: c.work, Store: c.store, Symmetry: c.sym,
-							Batch: c.batch,
-						})
+						}
+						if c.spill {
+							opts.SpillMemBytes = 1 << 12
+							opts.SpillDir = t.TempDir()
+							opts.Metrics = obs.NewRegistry()
+						}
+						dec, err := decide(p, x, 2, opts)
 						if err != nil {
 							t.Fatalf("Σ=%d m=%d seed=%d output=%v cfg=%+v: %v", sigma, m, seed, output, c, err)
+						}
+						if c.spill {
+							spillLoads += opts.Metrics.Snapshot()[explore.MetricSpillLoads].Value
 						}
 						decs[i] = dec
 					}
@@ -167,6 +167,9 @@ func TestOracleStoreSymmetryWorkers(t *testing.T) {
 				}
 			}
 		}
+	}
+	if spillLoads == 0 {
+		t.Fatal("no spill row streamed a frontier chunk back from disk; the spill rows are vacuous")
 	}
 }
 

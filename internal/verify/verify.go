@@ -128,9 +128,9 @@ type Options struct {
 	// BitstateK is the bitstate store's hash-function count (0 means
 	// DefaultBitstateK). Only meaningful with StoreBitstate.
 	BitstateK int
-	// SpillMemBytes caps the in-memory frontier of a bitstate run: past
-	// the budget, frontier chunks spill to SpillDir and stream back in
-	// depth order. ≤ 0 disables spilling. Exact stores never spill.
+	// SpillMemBytes caps the in-memory exploration frontier: past the
+	// budget, frontier chunks spill to SpillDir and stream back in depth
+	// order. ≤ 0 disables spilling.
 	SpillMemBytes int64
 	// SpillDir is where frontier chunks live (required when SpillMemBytes
 	// > 0 unless CheckpointDir is set, which then hosts the chunks).
@@ -152,11 +152,6 @@ type Options struct {
 	// per expanded batch, and a canceled check returns an
 	// ErrCanceled-wrapped error. nil means never canceled.
 	Context context.Context
-	// Batch chunks the engine's intern/enqueue pass: at most Batch
-	// successors are interned per store round-trip (≤ 0 means whole-batch,
-	// one round-trip per expanded state). Verdicts, witnesses, and state
-	// counts are identical for every setting.
-	Batch int
 	// Progress, when non-nil, receives periodic snapshots of the running
 	// exploration (every ProgressInterval) plus one final snapshot after
 	// the exploration completes. Callbacks may fire concurrently with the
@@ -957,23 +952,20 @@ func (e *explorer) explore() error {
 			e.expanders[w] = ex
 			return ex
 		},
-		Ctx:              e.opts.Context,
-		MaxBatch:         e.opts.Batch,
-		Progress:         e.opts.Progress,
-		ProgressInterval: e.opts.ProgressInterval,
-		Metrics:          e.opts.Metrics,
+		Ctx:                e.opts.Context,
+		Progress:           e.opts.Progress,
+		ProgressInterval:   e.opts.ProgressInterval,
+		FrontierMemBytes:   e.opts.SpillMemBytes,
+		SpillDir:           e.opts.SpillDir,
+		CheckpointDir:      e.opts.CheckpointDir,
+		CheckpointInterval: e.opts.CheckpointInterval,
+		Resume:             e.opts.Resume,
+		Metrics:            e.opts.Metrics,
 	}
-	if e.store.Lossy() {
-		cfg.FrontierMemBytes = e.opts.SpillMemBytes
-		cfg.SpillDir = e.opts.SpillDir
-		cfg.CheckpointDir = e.opts.CheckpointDir
-		cfg.CheckpointInterval = e.opts.CheckpointInterval
-		cfg.Resume = e.opts.Resume
-		if e.opts.CheckpointDir != "" {
-			cfg.CheckpointTag = e.checkpointTag()
-			cfg.CheckpointExtra = e.checkpointExtra
-			cfg.RestoreExtra = e.restoreExtra
-		}
+	if e.opts.CheckpointDir != "" {
+		cfg.CheckpointTag = e.checkpointTag()
+		cfg.CheckpointExtra = e.checkpointExtra
+		cfg.RestoreExtra = e.restoreExtra
 	}
 	return explore.Run(cfg)
 }
@@ -981,9 +973,12 @@ func (e *explorer) explore() error {
 // checkpointTag extends the caller's tag with the run geometry, so a
 // resume against a checkpoint from a different protocol instance, store
 // sizing, or verdict mode fails loudly instead of corrupting the search.
+// The version field names the bit layout: v2 is the one-word blocked
+// Bloom filter, whose bits a v1 (k independent bits) array does not
+// match.
 func (e *explorer) checkpointTag() string {
 	bs := e.store.(*explore.Bitstate)
-	return fmt.Sprintf("%s|v1|wpk=%d|bits=%d|k=%d|r=%d|out=%t|sym=%d|limit=%d",
+	return fmt.Sprintf("%s|v2|wpk=%d|bits=%d|k=%d|r=%d|out=%t|sym=%d|limit=%d",
 		e.opts.CheckpointTag, e.codec.Words(), bs.Bits(), bs.K(), e.r, e.trackOutputs, e.sym.Order(), e.limit)
 }
 
